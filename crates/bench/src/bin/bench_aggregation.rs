@@ -1,21 +1,24 @@
-//! Benchmark + equivalence gate for the O(d) streaming aggregation path
-//! against the O(m·d) batch oracle, at a paper-scale-ish round shape
-//! (m = 64 clients × d = 262,144 parameters).
+//! Benchmark + equivalence gate for the O(d) streaming FedAvg fold against
+//! the O(m·d) batch oracle, at a paper-scale-ish round shape (m = 64
+//! clients × d = 262,144 parameters).
 //!
-//! The batch side materializes all m update vectors and calls the batch
-//! operator; the streaming side *generates each update on the fly* into a
-//! single reusable buffer and folds it into the `StreamingAggregator`, so
+//! The batch side materializes all m update vectors and calls
+//! `ops::fedavg`; the streaming side *generates each update on the fly*
+//! into a single reusable buffer and folds it into `StreamingFedAvg`, so
 //! its true residency is one in-flight update plus the accumulator. Three
 //! hard gates (asserted, not just reported):
 //!
-//! 1. **Bitwise digests** — streaming FedAvg / Median / TrimmedMean /
-//!    GeoMed must match their batch oracles bit-for-bit, at 1 and N
-//!    threads, in-order and reversed arrival.
+//! 1. **Bitwise digests** — streaming FedAvg must match the batch oracle
+//!    bit-for-bit, at 1 and N threads, in-order and reversed arrival.
 //! 2. **Peak residency** — the streaming FedAvg peak (accumulator +
 //!    in-flight buffer, from the aggregator's own accounting) must be ≥ 4×
 //!    below the batch peak `(m+1)·d·4`.
 //! 3. **Warm-path workspace** — a second (warm) streaming pass must not
 //!    miss the `fg-tensor` workspace pool (`alloc_events` delta = 0).
+//!
+//! Operators that need the whole cohort (median, trimmed mean, GeoMed,
+//! Krum, FedGuard's audit) are not streamed: the round loop buffers their
+//! survivors and calls the batch operator, so there is nothing to compare.
 //!
 //! Emits JSON to stdout — `run_suite.sh` redirects it to
 //! `results/bench_aggregation.json` — and progress lines to stderr.
@@ -25,9 +28,9 @@
 //! ```
 
 use fedguard::tensor::rng::SeededRng;
-use fg_agg::streaming::{HierarchicalFedAvg, StreamingFedAvg};
-use fg_agg::{ops, MedianStrategy, TrimmedMeanStrategy};
-use fg_fl::{AggregationMemory, AggregationStrategy, ModelUpdate, StreamingAggregator};
+use fg_agg::ops;
+use fg_agg::streaming::StreamingFedAvg;
+use fg_fl::{ModelUpdate, StreamingAggregator};
 use fg_tensor::workspace;
 use rayon::with_threads;
 use serde::Serialize;
@@ -62,9 +65,6 @@ struct BenchReport {
     stream_peak_bytes: u64,
     /// batch/stream — the acceptance bar is ≥ 4.
     peak_ratio: f64,
-    /// Hierarchical (shard = 8) arrival-order invariance, and its peak.
-    hierarchical_deterministic: bool,
-    hierarchical_peak_bytes: u64,
     /// Workspace-pool misses during the warm streaming pass (must be 0).
     warm_workspace_allocs: u64,
 }
@@ -139,78 +139,33 @@ fn main() {
     let counts: Vec<usize> = cohort.iter().map(|u| u.num_samples).collect();
     eprintln!("[bench_aggregation] cohort materialized in {:.2}s", t0.elapsed().as_secs_f64());
 
-    let mut reports = Vec::new();
-    let mut fedavg_stream_peak = 0u64;
+    let make_agg = || Box::new(StreamingFedAvg::new(D, &roster)) as Box<dyn StreamingAggregator>;
 
-    // (name, batch closure, streaming-aggregator factory)
-    type BatchOp<'a> = Box<dyn Fn() -> Vec<f32> + 'a>;
-    type AggFactory<'a> = Box<dyn Fn() -> Box<dyn StreamingAggregator> + 'a>;
-    type Case<'a> = (&'static str, BatchOp<'a>, AggFactory<'a>);
-    let cases: Vec<Case<'_>> = vec![
-        (
-            "fedavg",
-            Box::new(|| ops::fedavg(&refs, &counts)),
-            Box::new(|| Box::new(StreamingFedAvg::new(D, &roster)) as Box<dyn StreamingAggregator>),
-        ),
-        (
-            "median",
-            Box::new(|| ops::coordinate_median(&refs)),
-            Box::new(|| {
-                MedianStrategy
-                    .begin_streaming(D, &roster, AggregationMemory::Streaming)
-                    .expect("median streams")
-            }),
-        ),
-        (
-            "trimmed_mean",
-            Box::new(|| ops::trimmed_mean_vectors(&refs, 8)),
-            Box::new(|| {
-                TrimmedMeanStrategy::new(8)
-                    .begin_streaming(D, &roster, AggregationMemory::Streaming)
-                    .expect("trimmed mean streams")
-            }),
-        ),
-        (
-            "geomed",
-            Box::new(|| ops::geometric_median(&refs, 20, 1e-6)),
-            Box::new(|| {
-                fg_agg::GeoMedStrategy { max_iters: 20, tol: 1e-6 }
-                    .begin_streaming(D, &roster, AggregationMemory::Streaming)
-                    .expect("geomed streams")
-            }),
-        ),
-    ];
+    let t0 = Instant::now();
+    let batch_out = with_threads(threads, || ops::fedavg(&refs, &counts));
+    let secs_batch = t0.elapsed().as_secs_f64();
+    let digest = bits_digest(&batch_out);
 
-    for (name, batch_op, make_agg) in &cases {
-        let t0 = Instant::now();
-        let batch_out = with_threads(threads, batch_op.as_ref());
-        let secs_batch = t0.elapsed().as_secs_f64();
-        let batch_digest = bits_digest(&batch_out);
+    let t0 = Instant::now();
+    let (stream_out, fedavg_stream_peak) =
+        with_threads(threads, || run_stream(make_agg(), &in_order));
+    let secs_stream = t0.elapsed().as_secs_f64();
+    let (stream_1t, _) = with_threads(1, || run_stream(make_agg(), &in_order));
+    let (stream_rev, _) = with_threads(threads, || run_stream(make_agg(), &reversed));
 
-        let t0 = Instant::now();
-        let (stream_out, peak_nt) = with_threads(threads, || run_stream(make_agg(), &in_order));
-        let secs_stream = t0.elapsed().as_secs_f64();
-        let (stream_1t, _) = with_threads(1, || run_stream(make_agg(), &in_order));
-        let (stream_rev, _) = with_threads(threads, || run_stream(make_agg(), &reversed));
-
-        let identical =
-            [&stream_out, &stream_1t, &stream_rev].iter().all(|s| bits_digest(s) == batch_digest);
-        assert!(identical, "{name}: streaming diverged from the batch oracle");
-        if *name == "fedavg" {
-            fedavg_stream_peak = peak_nt;
-        }
-        eprintln!(
-            "[bench_aggregation] {name}: batch {secs_batch:.3}s, stream {secs_stream:.3}s, \
-             digest {batch_digest:#018x}"
-        );
-        reports.push(OpReport {
-            op: name,
-            bitwise_identical: identical,
-            digest: batch_digest,
-            secs_batch,
-            secs_stream,
-        });
-    }
+    let identical = [&stream_out, &stream_1t, &stream_rev].iter().all(|s| bits_digest(s) == digest);
+    assert!(identical, "fedavg: streaming diverged from the batch oracle");
+    eprintln!(
+        "[bench_aggregation] fedavg: batch {secs_batch:.3}s, stream {secs_stream:.3}s, \
+         digest {digest:#018x}"
+    );
+    let reports = vec![OpReport {
+        op: "fedavg",
+        bitwise_identical: identical,
+        digest,
+        secs_batch,
+        secs_stream,
+    }];
 
     // Peak-residency gate: streaming FedAvg's own high-water mark plus the
     // single in-flight generation buffer, against the materialized cohort.
@@ -219,29 +174,11 @@ fn main() {
     let peak_ratio = batch_peak_bytes as f64 / stream_peak_bytes as f64;
     assert!(peak_ratio >= 4.0, "streaming peak only {peak_ratio:.1}x below batch");
 
-    // Hierarchical tree mode: deterministic across arrival orders.
-    let tree = |order: &[usize]| {
-        with_threads(threads, || {
-            run_stream(Box::new(HierarchicalFedAvg::new(D, &roster, 8)), order)
-        })
-    };
-    let (tree_a, tree_peak) = tree(&in_order);
-    let (tree_b, _) = tree(&reversed);
-    let hierarchical_deterministic = bits_digest(&tree_a) == bits_digest(&tree_b);
-    assert!(hierarchical_deterministic, "hierarchical mode not arrival-order invariant");
-
     // Warm-path workspace gate: every pool shape is primed by the passes
-    // above, so one more streaming sweep over all four operators must not
-    // allocate workspace at all.
+    // above, so one more streaming sweep must not allocate workspace at all.
     let before = workspace::alloc_events();
-    for (name, _, make_agg) in &cases {
-        let (warm, _) = with_threads(threads, || run_stream(make_agg(), &in_order));
-        assert_eq!(
-            bits_digest(&warm),
-            reports.iter().find(|r| r.op == *name).unwrap().digest,
-            "{name}: warm pass diverged"
-        );
-    }
+    let (warm, _) = with_threads(threads, || run_stream(make_agg(), &in_order));
+    assert_eq!(bits_digest(&warm), digest, "fedavg: warm pass diverged");
     let warm_workspace_allocs = workspace::alloc_events() - before;
     assert_eq!(warm_workspace_allocs, 0, "warm streaming pass missed the workspace pool");
 
@@ -254,8 +191,6 @@ fn main() {
         batch_peak_bytes,
         stream_peak_bytes,
         peak_ratio,
-        hierarchical_deterministic,
-        hierarchical_peak_bytes: tree_peak,
         warm_workspace_allocs,
     };
     println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));

@@ -14,12 +14,12 @@
 //!    the blobs the bench produced.
 //! 3. **Frame round-trip** — each compressed update survives
 //!    `wire::encode → wire::decode` bit-exactly.
-//! 4. **Dequantized-fold determinism** — folding the decoded cohort through
-//!    `StreamingFedAvg` is bit-identical across arrival orders (in-order vs
-//!    reversed), thread counts (1 vs N) and against the batch `fedavg`
-//!    oracle; for top-k the sparse (idx, val) fold must reproduce the dense
-//!    reconstruction bit-for-bit. (Local-vs-TCP identity for the same
-//!    codecs is gated end-to-end in `tests/net_equivalence.rs`.)
+//! 4. **Dequantized-fold determinism** — folding the decoded cohort
+//!    (`decompress_update`, exactly what both transports hand the round
+//!    loop) through `StreamingFedAvg` is bit-identical across arrival
+//!    orders (in-order vs reversed), thread counts (1 vs N) and against the
+//!    batch `fedavg` oracle. (Local-vs-TCP identity for the same codecs is
+//!    gated end-to-end in `tests/net_equivalence.rs`.)
 //!
 //! Emits the `outcome` / `objective` / `metrics` result schema from
 //! ROADMAP item 4 to stdout — `run_suite.sh` redirects it to
@@ -34,8 +34,8 @@ use fedguard::tensor::rng::SeededRng;
 use fg_agg::ops;
 use fg_agg::streaming::StreamingFedAvg;
 use fg_fl::compress::{
-    compress_global, compress_update, decompress_blob_into, decompress_update, sparse_update,
-    DEFAULT_INT8_BLOCK, DEFAULT_TOPK_FRAC,
+    compress_global, compress_update, decompress_blob_into, decompress_update, DEFAULT_INT8_BLOCK,
+    DEFAULT_TOPK_FRAC,
 };
 use fg_fl::wire::{decode, encode};
 use fg_fl::{CompressedUpdate, Compression, Message, ModelUpdate, StreamingAggregator, WireConfig};
@@ -125,22 +125,17 @@ fn make_update(i: usize, global: &[f32]) -> ModelUpdate {
 }
 
 /// Fold the cohort (decoded server-side, exactly as the federation does)
-/// through `StreamingFedAvg` in the given arrival order; top-k submissions
-/// stay sparse all the way into the fold.
+/// through `StreamingFedAvg` in the given arrival order.
 fn run_fold(
     compressed: &[CompressedUpdate],
     reference: &[f32],
-    base: &[f32],
     roster: &[usize],
     order: &[usize],
 ) -> Vec<f32> {
-    let d = base.len();
+    let d = reference.len();
     let mut agg: Box<dyn StreamingAggregator> = Box::new(StreamingFedAvg::new(d, roster));
     for &i in order {
-        match sparse_update(&compressed[i]) {
-            Some(sparse) => agg.push_sparse(&sparse, base),
-            None => agg.push(&decompress_update(&compressed[i], reference)),
-        }
+        agg.push(&decompress_update(&compressed[i], reference));
     }
     agg.finalize().expect("non-empty cohort finalizes").params
 }
@@ -177,9 +172,8 @@ fn main() {
 
     for &(mode, min_ratio) in &cases {
         // The reference the clients delta against is the *decoded downlink*
-        // (bf16 for the quantizing modes, the exact global for top-k), and
-        // the fold base is the dense broadcast — same as the live protocol.
-        // Encoding the downlink once here covers both the reference and its
+        // (bf16 for the quantizing modes, the exact global for top-k) — same
+        // as the live protocol. Encoding the downlink once here covers both the reference and its
         // share of the byte ledger.
         let reference = if mode.downlink() == Compression::None {
             global.clone()
@@ -242,15 +236,11 @@ fn main() {
 
         // Gate 4: the dequantized fold is bit-identical across arrival
         // orders, thread counts and against the batch oracle.
-        let folded = with_threads(threads, || {
-            run_fold(&compressed, &reference, &global, &roster, &in_order)
-        });
+        let folded =
+            with_threads(threads, || run_fold(&compressed, &reference, &roster, &in_order));
         let digest = bits_digest(&folded);
-        let rev = with_threads(threads, || {
-            run_fold(&compressed, &reference, &global, &roster, &reversed)
-        });
-        let single =
-            with_threads(1, || run_fold(&compressed, &reference, &global, &roster, &in_order));
+        let rev = with_threads(threads, || run_fold(&compressed, &reference, &roster, &reversed));
+        let single = with_threads(1, || run_fold(&compressed, &reference, &roster, &in_order));
         let refs: Vec<&[f32]> = decoded.iter().map(|u| u.params.as_slice()).collect();
         let counts: Vec<usize> = decoded.iter().map(|u| u.num_samples).collect();
         let batch = with_threads(threads, || ops::fedavg(&refs, &counts));

@@ -13,10 +13,10 @@ use fg_data::LabelFlip;
 use fg_defenses::{SpectralConfig, SpectralDefense};
 use fg_fl::client::NoAttack;
 use fg_fl::{
-    AggregationMemory, AggregationStrategy, Client, CommStats, Compression, CvaeTrainConfig,
-    FaultConfig, FaultPlan, Federation, FederationConfig, ForensicsCollector, JsonlSink,
-    LocalTrainConfig, MemoryCollector, ResiliencePolicy, RoundForensics, RoundObserver,
-    RoundRecord, RoundTelemetry, Transport, UpdateInterceptor,
+    AggregationStrategy, Client, CommStats, Compression, CvaeTrainConfig, FaultConfig, FaultPlan,
+    Federation, FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig, MemoryCollector,
+    ResiliencePolicy, RoundForensics, RoundObserver, RoundRecord, RoundTelemetry, Transport,
+    UpdateInterceptor,
 };
 use fg_nn::models::{ClassifierSpec, CvaeSpec};
 use fg_tensor::rng::{derive_seed, SeededRng};
@@ -250,7 +250,6 @@ impl ExperimentConfig {
                     server_lr: 1.0,
                     eval_batch: 128,
                     seed,
-                    agg_memory: AggregationMemory::Batch,
                 };
                 ExperimentConfig {
                     fed,
@@ -302,7 +301,6 @@ impl ExperimentConfig {
                     server_lr: 1.0,
                     eval_batch: 64,
                     seed,
-                    agg_memory: AggregationMemory::Batch,
                 };
                 ExperimentConfig {
                     fed,
@@ -687,6 +685,28 @@ mod tests {
             assert_eq!(result.history.len(), 3, "{}", cfg.label());
             assert!(result.final_accuracy() > 0.15, "{} collapsed", cfg.label());
         }
+    }
+
+    #[test]
+    fn welcome_blobs_written_with_the_retired_aggregation_knob_still_parse() {
+        // A Welcome blob (the serialized ExperimentConfig) written by a
+        // build that still carried the aggregation-memory knob.
+        let blob = r#"{"fed":{"n_clients":10,"clients_per_round":5,"rounds":2,"classifier":{"Mlp":{"hidden":24}},"local":{"epochs":3,"batch_size":16,"lr":0.10000000149011612,"momentum":0.8999999761581421,"prox_mu":0},"server_lr":1,"eval_batch":64,"seed":42,"agg_memory":"Batch"},"per_class_train":80,"per_class_test":20,"per_class_aux":10,"dirichlet_alpha":10,"strategy":"FedGuard","attack":{"SignFlip":{"fraction":0.4}},"cvae":{"spec":{"x_dim":784,"n_classes":10,"hidden":64,"latent":8},"epochs":60,"batch_size":32,"lr":0.0020000000949949026},"budget":{"Total":60},"spectral":{"surrogate_dim":250,"vae_hidden":32,"vae_latent":4,"beta":0.05000000074505806,"pretrain_rounds":2,"pretrain_clients":4,"vae_epochs":30,"local_epochs":1,"local_batch":16,"local_lr":0.05000000074505806},"tail_fraction":0.8,"fedguard_inner":"FedAvg","fedguard_coverage_aware":false,"fedguard_audit":"Batched","telemetry_dir":null,"faults":null,"resilience":{"min_quorum":1,"damped_partial_step":false},"compression":"None"}"#;
+        let parsed: ExperimentConfig = serde_json::from_str(blob).unwrap();
+        let mut expected = ExperimentConfig::preset(
+            Preset::Smoke,
+            StrategyKind::FedGuard,
+            AttackScenario::SignFlip { fraction: 0.4 },
+            42,
+        );
+        expected.fed.rounds = 2;
+        assert_eq!(
+            serde_json::to_string(&parsed).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+        let hierarchical = blob.replace(r#""Batch""#, r#"{"Hierarchical":{"shard":8}}"#);
+        let parsed: ExperimentConfig = serde_json::from_str(&hierarchical).unwrap();
+        assert_eq!(parsed.fed, expected.fed);
     }
 
     #[test]

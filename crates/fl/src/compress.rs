@@ -41,7 +41,7 @@
 //! across thread counts, arrival orders, and Local-vs-TCP deployments —
 //! asserted by `bench_compression` and `tests/net_equivalence.rs`.
 
-use crate::update::{ModelUpdate, UpdateRejection};
+use crate::update::ModelUpdate;
 use fg_obs::metrics::Counter;
 use fg_tensor::codec;
 use fg_tensor::workspace;
@@ -229,54 +229,6 @@ impl CompressedUpdate {
     }
 }
 
-/// A top-k submission kept sparse all the way into the aggregation fold:
-/// `val[i]` is the decoded delta at `idx[i]` against the round's reference
-/// model; every unlisted coordinate is unchanged. Produced by
-/// [`sparse_update`] on the streaming path so no dense f32 vector is ever
-/// materialized for the update.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparseUpdate {
-    pub client_id: usize,
-    pub num_samples: usize,
-    /// Length of the dense vector this update sparsifies.
-    pub raw_len: usize,
-    /// Selected coordinates, ascending and unique.
-    pub idx: Vec<u32>,
-    /// Decoded deltas, one per selected coordinate.
-    pub val: Vec<f32>,
-    pub decoder: Option<Vec<f32>>,
-    pub class_coverage: Option<Vec<u32>>,
-}
-
-impl SparseUpdate {
-    /// Logical model bytes (same basis as [`ModelUpdate::wire_bytes`]).
-    pub fn wire_bytes(&self) -> u64 {
-        (self.raw_len as u64 + self.decoder.as_ref().map_or(0, |d| d.len() as u64)) * 4
-    }
-
-    /// The checks [`ModelUpdate::validate`] runs, on the sparse form.
-    pub fn validate(&self, expected_len: usize) -> Result<(), UpdateRejection> {
-        if self.raw_len != expected_len {
-            return Err(UpdateRejection::WrongLength { got: self.raw_len, expected: expected_len });
-        }
-        if self.val.iter().any(|v| !v.is_finite()) {
-            return Err(UpdateRejection::NonFinite);
-        }
-        Ok(())
-    }
-
-    /// Strip a non-finite decoder and its coverage (mirror of
-    /// [`ModelUpdate::strip_non_finite_decoder`]); returns true if stripped.
-    pub fn strip_non_finite_decoder(&mut self) -> bool {
-        let bad = self.decoder.as_ref().is_some_and(|d| d.iter().any(|x| !x.is_finite()));
-        if bad {
-            self.decoder = None;
-            self.class_coverage = None;
-        }
-        bad
-    }
-}
-
 /// Compress one f32 vector under `mode` (which must not be
 /// [`Compression::None`] — dense vectors stay on the dense frames).
 pub fn compress_vec(mode: Compression, data: &[f32]) -> CompressedBlob {
@@ -385,8 +337,7 @@ pub fn compress_update(
 /// Server side: reconstruct the dense [`ModelUpdate`] from a compressed
 /// one, adding the decoded delta back onto the same reference the client
 /// encoded against. Top-k leaves unselected coordinates exactly at the
-/// reference value (a copy, not a `+ 0.0`), so the dense reconstruction is
-/// bit-identical to the sparse fold's per-element arithmetic.
+/// reference value (a copy, not a `+ 0.0`, which would flush `-0.0`).
 ///
 /// A blob whose `raw_len` disagrees with the reference cannot be rebased;
 /// its raw delta is returned instead and the round sanitizer rejects it by
@@ -431,32 +382,6 @@ pub fn decompress_update(cu: &CompressedUpdate, reference: &[f32]) -> ModelUpdat
         decoder,
         class_coverage: cu.class_coverage.clone(),
     }
-}
-
-/// The sparse view of a top-k submission, for the streaming fold — decoded
-/// deltas, never a dense vector. Returns `None` for dense blobs (the
-/// caller reconstructs densely instead).
-pub fn sparse_update(cu: &CompressedUpdate) -> Option<SparseUpdate> {
-    let CompressedBlob::TopK { raw_len, idx, val } = &cu.params else {
-        return None;
-    };
-    let t0 = Instant::now();
-    let vals: Vec<f32> = val.iter().map(|&v| codec::bf16_to_f32(v)).collect();
-    let decoder = cu.decoder.as_ref().map(|blob| {
-        let mut d = Vec::new();
-        decompress_blob_into(blob, &mut d);
-        d
-    });
-    DEC_NS.add(t0.elapsed().as_nanos() as u64);
-    Some(SparseUpdate {
-        client_id: cu.client_id,
-        num_samples: cu.num_samples,
-        raw_len: *raw_len as usize,
-        idx: idx.clone(),
-        val: vals,
-        decoder,
-        class_coverage: cu.class_coverage.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -549,8 +474,7 @@ mod tests {
     #[test]
     fn topk_keeps_reference_bits_off_the_selected_set() {
         // Unselected coordinates must be *copies* of the reference, not
-        // `ref + 0.0` (which would flush -0.0): that is the bit-equality
-        // contract between the dense reconstruction and the sparse fold.
+        // `ref + 0.0` (which would flush -0.0).
         let reference = vec![-0.0f32, 1.0, 2.0, 3.0];
         let params = vec![-0.0f32, 1.0, 2.0, 9.0]; // only index 3 changed
         let cu =
@@ -558,57 +482,6 @@ mod tests {
         let back = decompress_update(&cu, &reference);
         assert_eq!(back.params[0].to_bits(), (-0.0f32).to_bits());
         assert!((back.params[3] - 9.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn sparse_view_matches_dense_reconstruction_bitwise() {
-        let reference = noise(5_000, 3);
-        let mut params = reference.clone();
-        for (i, p) in params.iter_mut().enumerate() {
-            if i % 7 == 0 {
-                *p += 0.05;
-            }
-        }
-        let cu = compress_update(
-            Compression::TopK { frac: 0.05 },
-            &update(params, Some(noise(64, 4))),
-            &reference,
-        );
-        let dense = decompress_update(&cu, &reference);
-        let sparse = sparse_update(&cu).expect("topk blob has a sparse view");
-        assert_eq!(sparse.raw_len, reference.len());
-        assert_eq!(sparse.validate(reference.len()), Ok(()));
-        assert_eq!(sparse.wire_bytes(), dense.wire_bytes());
-        let mut rebuilt = reference.clone();
-        for (&i, &v) in sparse.idx.iter().zip(&sparse.val) {
-            rebuilt[i as usize] = reference[i as usize] + v;
-        }
-        let dense_bits: Vec<u32> = dense.params.iter().map(|x| x.to_bits()).collect();
-        let sparse_bits: Vec<u32> = rebuilt.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(dense_bits, sparse_bits);
-        assert_eq!(sparse.decoder.as_ref().map(|d| d.len()), Some(64));
-    }
-
-    #[test]
-    fn sparse_update_validation_mirrors_dense_checks() {
-        let mut s = SparseUpdate {
-            client_id: 0,
-            num_samples: 1,
-            raw_len: 100,
-            idx: vec![5],
-            val: vec![1.0],
-            decoder: Some(vec![f32::NAN]),
-            class_coverage: None,
-        };
-        assert!(matches!(
-            s.validate(99),
-            Err(UpdateRejection::WrongLength { got: 100, expected: 99 })
-        ));
-        assert_eq!(s.validate(100), Ok(()));
-        assert!(s.strip_non_finite_decoder());
-        assert!(s.decoder.is_none());
-        s.val[0] = f32::INFINITY;
-        assert_eq!(s.validate(100), Err(UpdateRejection::NonFinite));
     }
 
     #[test]

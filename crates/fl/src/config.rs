@@ -93,48 +93,6 @@ impl ResiliencePolicy {
     }
 }
 
-/// Server-side memory model for the aggregation stage.
-///
-/// `Batch` materializes all m surviving updates before the strategy runs —
-/// O(m·d) server RAM, kept as the oracle every other mode must match
-/// bit-for-bit. `Streaming` folds each update into a single O(d)
-/// accumulator as it arrives off the transport (strategies that cannot
-/// stream — Krum, FedGuard's audit — fall back to `Batch` silently).
-/// `Hierarchical` aggregates fixed client shards first and then the shard
-/// results: deterministic at any thread count and arrival order, but *not*
-/// bit-identical to `Batch` (a different, two-level fold tree), with peak
-/// residency O(d·⌈m/shard⌉).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum AggregationMemory {
-    /// Materialize every update, then aggregate — the oracle.
-    #[default]
-    Batch,
-    /// Fold updates one at a time into an O(d) accumulator.
-    Streaming,
-    /// Two-level tree: aggregate `shard`-sized client groups, then the
-    /// group results, weighted by group sample counts.
-    Hierarchical {
-        /// Clients per leaf shard (floored to 1).
-        shard: usize,
-    },
-}
-
-impl AggregationMemory {
-    /// Apply the `FG_STREAM_AGG` environment override: `0`/`false`/`off`
-    /// force the batch oracle, `1`/`true`/`on` force streaming, anything
-    /// else (or unset) keeps the configured mode.
-    pub fn resolved(self) -> AggregationMemory {
-        match std::env::var("FG_STREAM_AGG") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "0" | "false" | "off" => AggregationMemory::Batch,
-                "1" | "true" | "on" => AggregationMemory::Streaming,
-                _ => self,
-            },
-            Err(_) => self,
-        }
-    }
-}
-
 /// Top-level federation parameters (the `Federation` procedure of Alg. 1).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FederationConfig {
@@ -156,10 +114,6 @@ pub struct FederationConfig {
     pub eval_batch: usize,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Server-side aggregation memory model (`FG_STREAM_AGG` overrides at
-    /// run time). Defaults to the O(m·d) batch oracle.
-    #[serde(default)]
-    pub agg_memory: AggregationMemory,
 }
 
 impl FederationConfig {
@@ -181,7 +135,6 @@ impl FederationConfig {
             server_lr: 1.0,
             eval_batch: 64,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         }
     }
 
@@ -247,21 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn agg_memory_defaults_to_batch_and_old_configs_still_parse() {
-        assert_eq!(AggregationMemory::default(), AggregationMemory::Batch);
-        // A pre-knob config blob (no agg_memory key) must keep parsing.
-        let serde::Value::Obj(fields) = serde_json::to_value(&FederationConfig::paper()) else {
-            panic!("config serializes to an object");
-        };
-        let pruned: Vec<_> = fields.into_iter().filter(|(k, _)| k != "agg_memory").collect();
-        let parsed: FederationConfig = serde_json::from_value(&serde::Value::Obj(pruned)).unwrap();
-        assert_eq!(parsed.agg_memory, AggregationMemory::Batch);
-        // The shard payload round-trips.
-        let mut cfg = FederationConfig::paper();
-        cfg.agg_memory = AggregationMemory::Hierarchical { shard: 8 };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: FederationConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.agg_memory, AggregationMemory::Hierarchical { shard: 8 });
+    fn configs_written_with_the_retired_aggregation_knob_still_parse() {
+        // Written by a build that still carried the aggregation-memory knob;
+        // unknown keys are ignored, so the blob keeps parsing.
+        let json = r#"{"n_clients":100,"clients_per_round":50,"rounds":50,"classifier":"TableIICnn","local":{"epochs":5,"batch_size":32,"lr":0.009999999776482582,"momentum":0.8999999761581421,"prox_mu":0},"server_lr":1,"eval_batch":64,"seed":0,"agg_memory":{"Hierarchical":{"shard":8}}}"#;
+        let parsed: FederationConfig = serde_json::from_str(json).unwrap();
+        assert_eq!(parsed, FederationConfig::paper());
+        let batch = json.replace(r#"{"Hierarchical":{"shard":8}}"#, r#""Batch""#);
+        let parsed: FederationConfig = serde_json::from_str(&batch).unwrap();
+        assert_eq!(parsed, FederationConfig::paper());
     }
 
     #[test]

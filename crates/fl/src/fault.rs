@@ -11,12 +11,17 @@
 //!   plan seed, never on execution order, so a replay with the same seed
 //!   reproduces the exact same fault sequence (the chaos suite asserts
 //!   bit-identical round records).
-//! * [`sanitize_round`] — the server-side guard applied to every round's
-//!   submissions, fault plan or not: non-finite and wrong-length parameter
-//!   vectors are rejected before they can reach an aggregation strategy,
-//!   non-finite decoders are stripped, and duplicate submissions are
-//!   deduplicated by client id (**last write wins**, so a re-sent update can
-//!   never double-weight FedAvg).
+//! * [`SubmissionFaults::inject`] — applies one client's drawn transit
+//!   faults to its submission as it arrives at the server.
+//! * [`sanitize_round`] — the server-side guard every submission passes,
+//!   fault plan or not: non-finite and wrong-length parameter vectors are
+//!   rejected before they can reach an aggregation strategy, non-finite
+//!   decoders are stripped, and duplicate submissions are deduplicated by
+//!   client id (**last write wins**, so a re-sent update can never
+//!   double-weight FedAvg). The round loop runs it on each client's
+//!   arrivals — the submission plus its scheduled stale duplicate, if any —
+//!   before the survivor reaches the aggregator; this is the only dedup
+//!   rule.
 //!
 //! Every incident — injected or observed — is recorded as a [`FaultEvent`]
 //! and lands in the round's [`RoundTelemetry`](crate::telemetry::RoundTelemetry).
@@ -115,6 +120,55 @@ impl SubmissionFaults {
     /// True when no fault at all was drawn for this submission.
     pub fn is_clean(&self) -> bool {
         *self == SubmissionFaults::default()
+    }
+
+    /// Apply these transit faults to `update` as it reaches the server:
+    /// corrupt / truncate the vector, queue a stale retransmission frozen at
+    /// `stale` (the round-start global model), and apply the straggler
+    /// `deadline_secs`. Returns what crossed the wire, in arrival order —
+    /// the update unless it timed out, then its duplicate (which goes over
+    /// the wire even if the original times out) — and records one
+    /// [`FaultEvent`] per injected fault.
+    pub fn inject(
+        &self,
+        mut update: ModelUpdate,
+        stale: &[f32],
+        deadline_secs: f64,
+        events: &mut Vec<FaultEvent>,
+    ) -> Vec<ModelUpdate> {
+        let id = update.client_id;
+        if let Some(mode) = self.corrupt {
+            FaultPlan::corrupt_params(&mut update, mode);
+            events.push(FaultEvent::new(id, FaultKind::Corrupted { mode }));
+        }
+        if let Some(frac) = self.truncate_fraction {
+            let kept = ((update.params.len() as f64 * frac) as usize).max(1);
+            update.params.truncate(kept);
+            events.push(FaultEvent::new(id, FaultKind::Truncated { kept }));
+        }
+        let duplicate = self.duplicate.then(|| {
+            events.push(FaultEvent::new(id, FaultKind::DuplicateSubmission));
+            ModelUpdate {
+                client_id: id,
+                params: stale.to_vec(),
+                num_samples: update.num_samples,
+                decoder: update.decoder.clone(),
+                class_coverage: update.class_coverage.clone(),
+            }
+        });
+        let mut arrived = Vec::with_capacity(2);
+        match self.straggler_delay_secs {
+            Some(delay_secs) if delay_secs > deadline_secs => {
+                events.push(FaultEvent::new(id, FaultKind::StragglerTimeout { delay_secs }));
+            }
+            Some(delay_secs) => {
+                events.push(FaultEvent::new(id, FaultKind::StragglerLate { delay_secs }));
+                arrived.push(update);
+            }
+            None => arrived.push(update),
+        }
+        arrived.extend(duplicate);
+        arrived
     }
 }
 
@@ -258,7 +312,8 @@ impl FaultKind {
     }
 }
 
-/// Server-side sanitization of one round's arrived submissions.
+/// Server-side sanitization of a sequence of arrived submissions (the
+/// round loop passes one client's arrivals at a time).
 ///
 /// In arrival order: validates every update against the expected parameter
 /// length and finiteness (rejects emit [`FaultKind::RejectedNonFinite`] /

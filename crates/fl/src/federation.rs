@@ -3,15 +3,15 @@
 use crate::client::{Client, NoAttack, UpdateInterceptor};
 use crate::comm::CommStats;
 use crate::compress::Compression;
-use crate::config::{AggregationMemory, CvaeTrainConfig, FederationConfig, ResiliencePolicy};
+use crate::config::{CvaeTrainConfig, FederationConfig, ResiliencePolicy};
 use crate::fault::{sanitize_round, FaultEvent, FaultKind, FaultPlan, SubmissionFaults};
 use crate::metrics::RoundRecord;
 use crate::strategy::{
     AggregationContext, AggregationStrategy, StrategyTimings, StreamingAggregator,
 };
 use crate::telemetry::{RoundObserver, RoundTelemetry, StageTimings, SCHEMA_VERSION};
-use crate::transport::{IncomingUpdate, LocalTransport, RoundOffer, SessionEvent, Transport};
-use crate::update::{ModelUpdate, UpdateRejection};
+use crate::transport::{LocalTransport, RoundOffer, Transport};
+use crate::update::ModelUpdate;
 use fg_data::Dataset;
 use fg_nn::models::Classifier;
 use fg_obs::metrics::{Counter, Gauge};
@@ -25,28 +25,69 @@ use std::sync::Arc;
 static ROUNDS: Counter = Counter::new("fl.rounds");
 
 /// Peak transient server residency of the last aggregation stage, in bytes.
-/// Streaming rounds report the aggregator's own high-water mark; batch
+/// Folded rounds report the aggregator's own high-water mark; buffered
 /// rounds report the materialized-survivors proxy `(m + 1)·d·4` (the m
-/// survivor vectors plus the aggregate), so the two memory models are
-/// directly comparable on one gauge.
+/// survivor vectors plus the aggregate), so the two are directly comparable
+/// on one gauge.
 static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
 
-/// What stages (2)–(5) of a round distill to — the exchange, sanitization,
-/// and aggregation results. Produced by either [`Federation::batch_body`]
-/// (the O(m·d) oracle) or [`Federation::streamed_body`] (the O(d) fold);
-/// the evaluation/telemetry tail of `run_round` consumes both identically.
-struct RoundBody {
-    local_training_secs: f64,
-    sanitize_secs: f64,
-    sessions: Vec<SessionEvent>,
+/// Where admitted submissions go: the strategy's O(d) fold, or a buffer the
+/// round hands to [`AggregationStrategy::aggregate`].
+enum Survivors {
+    Fold(Box<dyn StreamingAggregator>),
+    Buffer(Vec<ModelUpdate>),
+}
+
+/// The per-arrival chain of one round. Each submission the transport hands
+/// over gets its client's scheduled transit faults; what then crosses the
+/// wire is accounted and sanitized together — the submission and any stale
+/// duplicate its faults queued, so the retransmission supersedes its
+/// original under the one last-write-wins rule — and the survivor goes on
+/// to [`Survivors`].
+struct Admission<'a> {
+    global: &'a [f32],
+    schedule: &'a [(usize, SubmissionFaults)],
+    deadline_secs: f64,
+    events: &'a mut Vec<FaultEvent>,
     comm: CommStats,
     survivor_ids: Vec<usize>,
-    quorum_met: bool,
-    selected: Vec<usize>,
-    scores: Vec<(usize, f32)>,
-    threshold: Option<f32>,
-    strategy_timings: StrategyTimings,
-    aggregate_total_secs: f64,
+    survivors: Survivors,
+}
+
+impl Admission<'_> {
+    fn admit(&mut self, update: ModelUpdate) {
+        let id = update.client_id;
+        let faults = self
+            .schedule
+            .iter()
+            .find(|&&(c, _)| c == id)
+            .map(|&(_, f)| f)
+            .unwrap_or_else(|| panic!("transport delivered unsampled client {id}"));
+        let arrived = faults.inject(update, self.global, self.deadline_secs, self.events);
+        // Upload accounting covers what actually crossed the wire:
+        // corrupted/truncated/duplicate submissions included, timeouts not.
+        for u in &arrived {
+            self.comm.push_update(u);
+        }
+        let Some(survivor) = sanitize_round(arrived, self.global.len(), self.events).pop() else {
+            return;
+        };
+        assert!(!self.survivor_ids.contains(&id), "transport delivered client {id} twice");
+        self.survivor_ids.push(id);
+        match &mut self.survivors {
+            Survivors::Fold(agg) => agg.push(&survivor),
+            Survivors::Buffer(buffer) => buffer.push(survivor),
+        }
+    }
+
+    /// What is left after the last arrival: the id-sorted survivor roster.
+    fn finish(mut self) -> (CommStats, Vec<usize>, Survivors) {
+        self.survivor_ids.sort_unstable();
+        if let Survivors::Buffer(buffer) = &mut self.survivors {
+            buffer.sort_by_key(|u| u.client_id);
+        }
+        (self.comm, self.survivor_ids, self.survivors)
+    }
 }
 
 /// A complete federated-learning simulation: `N` clients, a server-side test
@@ -75,18 +116,21 @@ struct RoundBody {
 ///    thread count); [`crate::net::TcpTransport`] drives remote client
 ///    processes over the wire instead. Clients scheduled to drop out by the
 ///    [fault plan](FederationBuilder::faults) never train,
-/// 3. let the attack interceptor corrupt the malicious clients' updates,
-///    then inject any scheduled transit faults (straggler delay/timeout,
-///    NaN/Inf corruption, truncation, stale duplicates),
-/// 4. sanitize the arrived submissions ([`sanitize_round`]: reject
-///    non-finite / wrong-length vectors, strip bad decoders, dedup by
-///    client id) — this guard runs on every round, fault plan or not,
-/// 5. if the survivors meet the [`ResiliencePolicy`] quorum, hand them to
-///    the aggregation strategy and move the global model by the server
-///    learning rate toward the aggregate; otherwise skip aggregation and
-///    carry the global model forward (optionally taking a damped partial
-///    step toward the survivors' mean), and
-/// 6. evaluate on the held-out test set, record metrics, and emit one
+/// 3. let the attack interceptor corrupt the malicious clients' updates;
+///    then, one arrival at a time, inject that client's scheduled transit
+///    faults (straggler delay/timeout, NaN/Inf corruption, truncation,
+///    stale duplicates) and sanitize what arrived ([`sanitize_round`]:
+///    reject non-finite / wrong-length vectors, strip bad decoders, dedup
+///    by client id) — this guard runs on every round, fault plan or not —
+///    and pass the survivor on: folded into the strategy's O(d)
+///    accumulator when it opens one, buffered otherwise,
+/// 4. if the survivors meet the [`ResiliencePolicy`] quorum, finalize the
+///    fold or hand the buffer to the aggregation strategy, and move the
+///    global model by the server learning rate toward the aggregate;
+///    otherwise skip aggregation and carry the global model forward
+///    (optionally taking a damped partial step toward the survivors'
+///    mean), and
+/// 5. evaluate on the held-out test set, record metrics, and emit one
 ///    [`RoundTelemetry`] event — including the survivor roster and every
 ///    [`FaultEvent`] — to every registered observer.
 pub struct Federation {
@@ -388,38 +432,94 @@ impl Federation {
             })
             .collect();
 
-        // (2)–(5) Exchange, sanitize, aggregate. When the aggregation-memory
-        // knob resolves away from the batch oracle and the strategy can
-        // stream, every update folds into an O(d) accumulator as it leaves
-        // the transport and the round never materializes; the batch path
-        // stays the bitwise oracle and keeps handling everything that needs
-        // the survivor vectors in hand (fault injection, the damped
-        // below-quorum partial step).
-        let memory = self.config.agg_memory.resolved();
-        let streaming = if self.faults.is_none() && !self.resilience.damped_partial_step {
-            match memory {
-                AggregationMemory::Batch => None,
-                mode => self.strategy.begin_streaming(self.global.len(), &active, mode),
-            }
+        // (2)–(3) The transport runs the exchange — in-process this is the
+        // parallel training pass, over TCP RoundStart/Upload framing — and
+        // hands each trained (and attack-intercepted) submission to the
+        // admission chain as soon as it holds it. The survivors fold into the
+        // strategy's O(d) accumulator when it opens one; otherwise (audits,
+        // robust operators, and the damped partial step, which needs the
+        // survivor vectors) they are buffered for `aggregate`.
+        let dim = self.global.len();
+        let survivors = match self.resilience.damped_partial_step {
+            false => self.strategy.begin_streaming(dim, &active),
+            true => None,
+        }
+        .map_or_else(|| Survivors::Buffer(Vec::new()), Survivors::Fold);
+        let stage = timed_span("round.local_training");
+        let mut admission = Admission {
+            global: &self.global,
+            schedule: &schedule,
+            deadline_secs: self
+                .faults
+                .as_ref()
+                .map_or(f64::INFINITY, |p| p.config().round_deadline_secs),
+            events: &mut fault_events,
+            comm: CommStats::for_broadcast(dim, sampled.len()),
+            survivor_ids: Vec::new(),
+            survivors,
+        };
+        let offer = RoundOffer { round, global: &self.global, sampled: &sampled, active: &active };
+        let exchange = self.transport.exchange_round(&offer, &mut |u| admission.admit(u));
+        let local_training_secs = stage.close();
+
+        // (3b) Admission work left after the last arrival.
+        let stage = timed_span("round.sanitize");
+        let (comm, survivor_ids, survivors) = admission.finish();
+        let sanitize_secs = stage.close();
+        // Transport-observed losses (TCP disconnects, malformed frames)
+        // degrade exactly like scheduled faults.
+        fault_events.extend(exchange.faults);
+
+        // (4) Aggregate if the survivors meet quorum; otherwise degrade per
+        // the resilience policy. The strategy reports its own synthesis /
+        // audit time; the remainder of aggregation is inner aggregation.
+        let quorum = self.resilience.effective_quorum();
+        let quorum_met = survivor_ids.len() >= quorum;
+        let stage = timed_span("round.aggregation");
+        let (selected, scores, threshold, strategy_timings) = if quorum_met {
+            let outcome = match survivors {
+                Survivors::Fold(agg) => {
+                    AGG_PEAK_BYTES.set(agg.peak_bytes() as i64);
+                    agg.finalize().expect("quorum met implies a folded update")
+                }
+                Survivors::Buffer(buffer) => {
+                    AGG_PEAK_BYTES.set(((buffer.len() + 1) * dim * 4) as i64);
+                    let mut ctx = AggregationContext {
+                        round,
+                        global: &self.global,
+                        rng: self.rng.fork(0xA66 ^ round as u64),
+                    };
+                    self.strategy.aggregate(&buffer, &mut ctx)
+                }
+            };
+            assert_eq!(
+                outcome.params.len(),
+                dim,
+                "strategy {} returned wrong-size parameters",
+                self.strategy.name()
+            );
+            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
+            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
+            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
         } else {
-            None
+            match survivors {
+                // Below quorum but not empty: a confidence-weighted step
+                // toward the survivors' unweighted mean, damped by
+                // survivors/quorum on top of the server learning rate.
+                Survivors::Buffer(buffer)
+                    if self.resilience.damped_partial_step && !buffer.is_empty() =>
+                {
+                    let refs: Vec<&[f32]> = buffer.iter().map(|u| u.params.as_slice()).collect();
+                    let mean = vecops::mean_vector(&refs);
+                    let scale = buffer.len() as f32 / quorum as f32;
+                    self.global = vecops::lerp(&self.global, &mean, self.config.server_lr * scale);
+                    (survivor_ids.clone(), Vec::new(), None, StrategyTimings::default())
+                }
+                // Otherwise carry the global model forward unchanged.
+                _ => (Vec::new(), Vec::new(), None, StrategyTimings::default()),
+            }
         };
-        let RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        } = match streaming {
-            Some(agg) => self.streamed_body(round, &sampled, &active, &mut fault_events, agg),
-            None => self.batch_body(round, &sampled, &active, &schedule, &mut fault_events),
-        };
+        let aggregate_total_secs = stage.close();
 
         // (6) Evaluate, record, and emit telemetry.
         let stage = timed_span("round.evaluation");
@@ -476,7 +576,7 @@ impl Federation {
             malicious_sampled: record.malicious_sampled.clone(),
             comm,
             transport: self.transport.kind(),
-            sessions,
+            sessions: exchange.sessions,
             // Cumulative process-wide metrics, folded in only while tracing
             // is on: profiled runs get the numbers, deterministic test runs
             // keep bit-comparable events.
@@ -492,280 +592,6 @@ impl Federation {
 
         self.history.push(record.clone());
         record
-    }
-
-    /// Stages (2)–(5), batch flavor — the O(m·d) oracle: run the exchange to
-    /// a materialized update list, inject scheduled transit faults, sanitize
-    /// the arrivals, and hand the surviving batch to the strategy.
-    fn batch_body(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        active: &[usize],
-        schedule: &[(usize, SubmissionFaults)],
-        fault_events: &mut Vec<FaultEvent>,
-    ) -> RoundBody {
-        // (2) + (3) The transport runs the exchange: deliver the global
-        // model, collect the trained (and attack-intercepted) submissions of
-        // the active clients, sorted by client id. In-process this is the
-        // parallel training pass; over TCP it is RoundStart/Upload framing —
-        // either way the same offers must yield the same updates.
-        let stage = timed_span("round.local_training");
-        let offer = RoundOffer { round, global: &self.global, sampled, active };
-        let exchange = self.transport.exchange_round(&offer);
-        let updates = exchange.updates;
-        let sessions = exchange.sessions;
-        // Transport-observed losses (TCP disconnects, malformed frames)
-        // degrade exactly like scheduled faults.
-        fault_events.extend(exchange.faults);
-        let local_training_secs = stage.close();
-
-        // (3b) Inject transit faults into the trained submissions: corrupt /
-        // truncate the vector, queue a stale duplicate, and apply the
-        // straggler deadline. Duplicates arrive after every original.
-        let deadline =
-            self.faults.as_ref().map_or(f64::INFINITY, |p| p.config().round_deadline_secs);
-        let faults_of: std::collections::HashMap<usize, SubmissionFaults> =
-            schedule.iter().copied().collect();
-        let mut arrived: Vec<ModelUpdate> = Vec::with_capacity(updates.len());
-        let mut duplicates: Vec<ModelUpdate> = Vec::new();
-        for mut update in updates {
-            let f = faults_of[&update.client_id];
-            if let Some(mode) = f.corrupt {
-                FaultPlan::corrupt_params(&mut update, mode);
-                fault_events.push(FaultEvent::new(update.client_id, FaultKind::Corrupted { mode }));
-            }
-            if let Some(frac) = f.truncate_fraction {
-                let kept = ((update.params.len() as f64 * frac) as usize).max(1);
-                update.params.truncate(kept);
-                fault_events.push(FaultEvent::new(update.client_id, FaultKind::Truncated { kept }));
-            }
-            if f.duplicate {
-                // A retransmission frozen at the round-start global model; it
-                // goes over the wire even if the original times out.
-                let mut dup = update.clone();
-                dup.params = self.global.clone();
-                duplicates.push(dup);
-                fault_events
-                    .push(FaultEvent::new(update.client_id, FaultKind::DuplicateSubmission));
-            }
-            if let Some(delay) = f.straggler_delay_secs {
-                if delay > deadline {
-                    fault_events.push(FaultEvent::new(
-                        update.client_id,
-                        FaultKind::StragglerTimeout { delay_secs: delay },
-                    ));
-                    continue;
-                }
-                fault_events.push(FaultEvent::new(
-                    update.client_id,
-                    FaultKind::StragglerLate { delay_secs: delay },
-                ));
-            }
-            arrived.push(update);
-        }
-        arrived.extend(duplicates);
-        // Download accounting covers what actually crossed the wire this
-        // round: corrupted/truncated/duplicate submissions included,
-        // dropouts and timeouts not.
-        let comm = CommStats::for_round(self.global.len(), sampled.len(), &arrived);
-
-        // (4) Sanitize: reject malformed vectors, strip bad decoders, dedup
-        // by client id. Runs on every round, fault plan or not.
-        let stage = timed_span("round.sanitize");
-        let survivors = sanitize_round(arrived, self.global.len(), fault_events);
-        let survivor_ids: Vec<usize> = survivors.iter().map(|u| u.client_id).collect();
-        let sanitize_secs = stage.close();
-
-        // (5) Aggregate if the survivors meet quorum; otherwise degrade per
-        // the resilience policy. The strategy reports its own synthesis /
-        // audit time; the remainder of aggregate() is inner aggregation.
-        let quorum = self.resilience.effective_quorum();
-        let quorum_met = survivors.len() >= quorum;
-        let stage = timed_span("round.aggregation");
-        let (selected, scores, threshold, strategy_timings) = if quorum_met {
-            // Materialized-survivors residency proxy: the m survivor vectors
-            // plus the aggregate the strategy is about to produce.
-            AGG_PEAK_BYTES.set(((survivors.len() + 1) * self.global.len() * 4) as i64);
-            let mut ctx = AggregationContext {
-                round,
-                global: &self.global,
-                rng: self.rng.fork(0xA66 ^ round as u64),
-            };
-            let outcome = self.strategy.aggregate(&survivors, &mut ctx);
-            assert_eq!(
-                outcome.params.len(),
-                self.global.len(),
-                "strategy {} returned wrong-size parameters",
-                self.strategy.name()
-            );
-            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
-            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
-            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
-        } else if self.resilience.damped_partial_step && !survivors.is_empty() {
-            // Below quorum but not empty: a confidence-weighted step toward
-            // the survivors' unweighted mean, damped by survivors/quorum on
-            // top of the server learning rate.
-            let refs: Vec<&[f32]> = survivors.iter().map(|u| u.params.as_slice()).collect();
-            let mean = vecops::mean_vector(&refs);
-            let scale = survivors.len() as f32 / quorum as f32;
-            self.global = vecops::lerp(&self.global, &mean, self.config.server_lr * scale);
-            (survivor_ids.clone(), Vec::new(), None, StrategyTimings::default())
-        } else {
-            // Carry the global model forward unchanged.
-            (Vec::new(), Vec::new(), None, StrategyTimings::default())
-        };
-        let aggregate_total_secs = stage.close();
-
-        RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        }
-    }
-
-    /// Stages (2)–(5), streaming flavor: the transport hands each update to
-    /// a sink that accounts it, sanitizes it inline (same checks and
-    /// [`FaultEvent`]s as [`sanitize_round`], minus its last-duplicate-wins
-    /// rule — a fold is irrevocable, so the *first* valid arrival per client
-    /// wins; unreachable through the in-tree transports, which deliver each
-    /// active client at most once), and folds it into the strategy's O(d)
-    /// accumulator. No update list is ever materialized.
-    fn streamed_body(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        active: &[usize],
-        fault_events: &mut Vec<FaultEvent>,
-        mut agg: Box<dyn StreamingAggregator>,
-    ) -> RoundBody {
-        let stage = timed_span("round.local_training");
-        let mut comm = CommStats::for_broadcast(self.global.len(), sampled.len());
-        let expected_len = self.global.len();
-        let mut survivor_ids: Vec<usize> = Vec::new();
-        let offer = RoundOffer { round, global: &self.global, sampled, active };
-        // A sparse (top-k) submission's deltas are coded against the round's
-        // reference model, which for top-k is the exact global the offer
-        // broadcast (its downlink stays dense).
-        let base: &[f32] = offer.global;
-        let mut sink = |incoming: IncomingUpdate| {
-            let mut push_fault = |id: usize, kind: FaultKind| {
-                fault_events.push(FaultEvent::new(id, kind));
-            };
-            match incoming {
-                IncomingUpdate::Dense(mut update) => {
-                    // Upload accounting covers everything that crossed the
-                    // wire, valid or not — the same policy as the batch path.
-                    comm.push_update(&update);
-                    match update.validate(expected_len) {
-                        Err(UpdateRejection::NonFinite) => {
-                            push_fault(update.client_id, FaultKind::RejectedNonFinite);
-                            return;
-                        }
-                        Err(UpdateRejection::WrongLength { got, expected }) => {
-                            push_fault(
-                                update.client_id,
-                                FaultKind::RejectedWrongLength { got, expected },
-                            );
-                            return;
-                        }
-                        Ok(()) => {}
-                    }
-                    if update.strip_non_finite_decoder() {
-                        push_fault(update.client_id, FaultKind::DecoderStripped);
-                    }
-                    if survivor_ids.contains(&update.client_id) {
-                        push_fault(update.client_id, FaultKind::DuplicateDiscarded);
-                        return;
-                    }
-                    survivor_ids.push(update.client_id);
-                    agg.push(&update);
-                }
-                IncomingUpdate::Sparse(mut update) => {
-                    // Same pipeline, sparse flavor: the submission folds as
-                    // (idx, val) deltas against `base` without ever being
-                    // materialized densely.
-                    comm.push_bytes(update.wire_bytes());
-                    match update.validate(expected_len) {
-                        Err(UpdateRejection::NonFinite) => {
-                            push_fault(update.client_id, FaultKind::RejectedNonFinite);
-                            return;
-                        }
-                        Err(UpdateRejection::WrongLength { got, expected }) => {
-                            push_fault(
-                                update.client_id,
-                                FaultKind::RejectedWrongLength { got, expected },
-                            );
-                            return;
-                        }
-                        Ok(()) => {}
-                    }
-                    if update.strip_non_finite_decoder() {
-                        push_fault(update.client_id, FaultKind::DecoderStripped);
-                    }
-                    if survivor_ids.contains(&update.client_id) {
-                        push_fault(update.client_id, FaultKind::DuplicateDiscarded);
-                        return;
-                    }
-                    survivor_ids.push(update.client_id);
-                    agg.push_sparse(&update, base);
-                }
-            }
-        };
-        let tail = self.transport.exchange_round_streamed(&offer, &mut sink);
-        fault_events.extend(tail.faults);
-        let sessions = tail.sessions;
-        let local_training_secs = stage.close();
-        // Sanitization ran inline, interleaved with the exchange above; it
-        // has no separately measurable span in streaming mode.
-        let sanitize_secs = 0.0;
-        // The batch sanitizer returns survivors sorted by client id; match.
-        survivor_ids.sort_unstable();
-
-        let quorum = self.resilience.effective_quorum();
-        let quorum_met = survivor_ids.len() >= quorum;
-        let stage = timed_span("round.aggregation");
-        let (selected, scores, threshold, strategy_timings) = if quorum_met {
-            AGG_PEAK_BYTES.set(agg.peak_bytes() as i64);
-            let outcome = agg.finalize().expect("quorum met implies at least one folded update");
-            assert_eq!(
-                outcome.params.len(),
-                self.global.len(),
-                "strategy {} streamed wrong-size parameters",
-                self.strategy.name()
-            );
-            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
-            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
-            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
-        } else {
-            // Below quorum: discard the accumulator and carry the model
-            // forward (the damped partial step needs survivor vectors and
-            // therefore forces the batch path).
-            (Vec::new(), Vec::new(), None, StrategyTimings::default())
-        };
-        let aggregate_total_secs = stage.close();
-
-        RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        }
     }
 
     /// Run all configured rounds; returns the full history and notifies
@@ -836,7 +662,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 64,
             seed,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config).datasets(datasets).test_set(test).strategy(MeanStrategy)
     }
@@ -914,7 +739,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 3,
-            agg_memory: AggregationMemory::Batch,
         };
 
         let mut full = Federation::builder(config)
@@ -951,7 +775,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config)
             .datasets(vec![data.clone()])
@@ -973,7 +796,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config).datasets(vec![data.clone()]).test_set(data).build();
     }

@@ -37,10 +37,8 @@ pub mod wire;
 pub use admin::{AdminPlane, FlightRecTrigger, OpsObserver, OpsState};
 pub use client::{Client, DataStream, UpdateInterceptor};
 pub use comm::CommStats;
-pub use compress::{CompressedBlob, CompressedUpdate, Compression, SparseUpdate};
-pub use config::{
-    AggregationMemory, CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy,
-};
+pub use compress::{CompressedBlob, CompressedUpdate, Compression};
+pub use config::{CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy};
 pub use fault::{
     sanitize_round, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan, SubmissionFaults,
 };
@@ -62,8 +60,8 @@ pub use telemetry::{
     StderrProgress,
 };
 pub use transport::{
-    ClientChannel, Directive, ExchangeTail, IncomingUpdate, LocalTransport, RoundExchange,
-    RoundOffer, SessionEvent, SessionEventKind, Transport, TransportKind,
+    ClientChannel, Directive, LocalTransport, RoundExchange, RoundOffer, SessionEvent,
+    SessionEventKind, Transport, TransportKind,
 };
 pub use update::{ModelUpdate, UpdateRejection};
 pub use wire::{Message, WireConfig, WireError};

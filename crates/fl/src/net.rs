@@ -469,7 +469,11 @@ impl Transport for TcpTransport {
         TransportKind::Tcp
     }
 
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
+    fn exchange_round(
+        &mut self,
+        offer: &RoundOffer<'_>,
+        sink: &mut dyn FnMut(ModelUpdate),
+    ) -> RoundExchange {
         let _span = span("net.exchange_round");
         self.poll_joins();
         let mut stats = WireStats { round: offer.round, ..WireStats::default() };
@@ -523,8 +527,10 @@ impl Transport for TcpTransport {
         }
 
         // Collect responses in client-id order — the canonical arrival order
-        // the oracle produces. Uploads from other sessions simply wait in
-        // their kernel buffers until their turn.
+        // the oracle produces — handing each upload to the round loop as
+        // soon as it is read, so a folding strategy never holds more than
+        // one of them. Uploads from other sessions simply wait in their
+        // kernel buffers until their turn.
         for id in notified {
             let Some(stream) = self.sessions.get_mut(&id) else { continue };
             let (update, alive) = Self::collect_response(
@@ -539,13 +545,12 @@ impl Transport for TcpTransport {
                 &mut exchange.sessions,
             );
             if let Some(update) = update {
-                exchange.updates.push(update);
+                sink(update);
             }
             if !alive {
                 self.sessions.remove(&id);
             }
         }
-        exchange.updates.sort_by_key(|u| u.client_id);
         self.wire_log.lock().push(stats);
         exchange
     }
@@ -799,6 +804,7 @@ mod tests {
     use super::*;
     use crate::client::NoAttack;
     use crate::config::LocalTrainConfig;
+    use crate::transport::collect_exchange;
     use fg_data::synth::generate_dataset;
     use fg_nn::models::ClassifierSpec;
     use fg_tensor::rng::SeededRng;
@@ -861,10 +867,10 @@ mod tests {
         let sampled = vec![0usize, 1];
         let active = vec![0usize]; // client 1 is a scheduled dropout
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &active };
-        let exchange = server.exchange_round(&offer);
-        assert_eq!(exchange.updates.len(), 1);
-        assert_eq!(exchange.updates[0].client_id, 0);
-        assert_eq!(exchange.updates[0].params.len(), psi);
+        let (updates, exchange) = collect_exchange(&mut server, &offer);
+        assert_eq!(updates.len(), 1);
+        assert_eq!(updates[0].client_id, 0);
+        assert_eq!(updates[0].params.len(), psi);
         assert!(exchange.faults.is_empty(), "{:?}", exchange.faults);
         // Both clients joined during setup.
         let joins = exchange.sessions.iter().filter(|e| e.kind == SessionEventKind::Join).count();
@@ -873,8 +879,8 @@ mod tests {
         // Round 2: everyone trains.
         let active = vec![0usize, 1];
         let offer = RoundOffer { round: 1, global: &global, sampled: &sampled, active: &active };
-        let exchange = server.exchange_round(&offer);
-        let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
+        let (updates, _) = collect_exchange(&mut server, &offer);
+        let ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
         assert_eq!(ids, vec![0, 1]);
 
         let finish_events = server.finish();
@@ -923,8 +929,8 @@ mod tests {
         let global = vec![0.0f32; 4];
         let sampled = vec![0usize];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let exchange = server.exchange_round(&offer);
-        assert!(exchange.updates.is_empty());
+        let (updates, exchange) = collect_exchange(&mut server, &offer);
+        assert!(updates.is_empty());
         assert!(
             exchange
                 .faults
@@ -954,8 +960,8 @@ mod tests {
         let global = vec![1.0f32; 8];
         let sampled = vec![3usize];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let exchange = server.exchange_round(&offer);
-        assert!(exchange.updates.is_empty());
+        let (updates, exchange) = collect_exchange(&mut server, &offer);
+        assert!(updates.is_empty());
         assert_eq!(
             exchange.faults,
             vec![FaultEvent::new(3, FaultKind::Dropout)],
@@ -973,7 +979,7 @@ mod tests {
         let sampled = vec![5usize, 6];
         let active = vec![5usize];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &active };
-        let exchange = server.exchange_round(&offer);
+        let (_, exchange) = collect_exchange(&mut server, &offer);
         // Active-but-absent 5 is a transport dropout; scheduled-dropout 6 is
         // already accounted by the round loop and must not double-report.
         assert_eq!(exchange.faults, vec![FaultEvent::new(5, FaultKind::Dropout)]);

@@ -1,7 +1,5 @@
 //! The pluggable aggregation-strategy interface.
 
-use crate::compress::SparseUpdate;
-use crate::config::AggregationMemory;
 use crate::update::ModelUpdate;
 use fg_tensor::rng::SeededRng;
 
@@ -104,22 +102,21 @@ pub trait AggregationStrategy: Send {
         false
     }
 
-    /// Open a streaming accumulator for a round, or `None` if this strategy
-    /// can only aggregate a materialized batch (Krum's pairwise distances,
-    /// FedGuard's audit). `roster` is the round's active client ids in
-    /// ascending order — the canonical slot order every transport delivers
-    /// and the order the streaming fold is keyed to, so results are
-    /// independent of arrival order. The federation only consults this when
-    /// [`AggregationMemory`] resolves away from `Batch`; a `Some` aggregator
-    /// must produce the same `AggregationOutcome` the batch `aggregate`
-    /// would (bit-identical params for `Streaming` mode).
+    /// Open an O(d) accumulator for a round, or `None` if this strategy
+    /// needs the survivors in hand (Krum's pairwise distances, FedGuard's
+    /// audit, the robust operators) — the round loop then buffers them and
+    /// calls [`aggregate`](AggregationStrategy::aggregate). `roster` is the
+    /// round's active client ids in ascending order, the slot order the fold
+    /// is keyed to, so results do not depend on arrival order. A `Some`
+    /// aggregator must finalize to bit-identical params and the same
+    /// `selected` roster that `aggregate` over the id-sorted survivors
+    /// would produce.
     fn begin_streaming(
         &mut self,
         dim: usize,
         roster: &[usize],
-        memory: AggregationMemory,
     ) -> Option<Box<dyn StreamingAggregator>> {
-        let _ = (dim, roster, memory);
+        let _ = (dim, roster);
         None
     }
 }
@@ -135,30 +132,6 @@ pub trait AggregationStrategy: Send {
 pub trait StreamingAggregator: Send {
     /// Fold one sanitized update into the accumulator.
     fn push(&mut self, update: &ModelUpdate);
-
-    /// Fold one sanitized **sparse** update (a top-k compressed submission's
-    /// decoded deltas against `base`, the round's reference model): the
-    /// coordinate `idx[i]` holds `base[idx[i]] + val[i]`, every other
-    /// coordinate holds `base` unchanged. Must produce bit-identical state
-    /// to [`push`](StreamingAggregator::push) of the dense reconstruction.
-    ///
-    /// The default materializes that reconstruction and pushes it — correct
-    /// for any aggregator; O(d)-fold implementations override it to fold the
-    /// (idx, val) pairs directly without a dense intermediate.
-    fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
-        assert_eq!(update.raw_len, base.len(), "sparse update/base length mismatch");
-        let mut params = base.to_vec();
-        for (&i, &v) in update.idx.iter().zip(&update.val) {
-            params[i as usize] = base[i as usize] + v;
-        }
-        self.push(&ModelUpdate {
-            client_id: update.client_id,
-            params,
-            num_samples: update.num_samples,
-            decoder: update.decoder.clone(),
-            class_coverage: update.class_coverage.clone(),
-        });
-    }
 
     /// High-water mark of the aggregator's transient residency in bytes
     /// (accumulators + any out-of-order reorder buffer), for the
@@ -194,9 +167,8 @@ impl<S: AggregationStrategy + ?Sized> AggregationStrategy for Box<S> {
         &mut self,
         dim: usize,
         roster: &[usize],
-        memory: AggregationMemory,
     ) -> Option<Box<dyn StreamingAggregator>> {
-        (**self).begin_streaming(dim, roster, memory)
+        (**self).begin_streaming(dim, roster)
     }
 }
 

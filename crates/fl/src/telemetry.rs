@@ -46,11 +46,14 @@ pub const SCHEMA_VERSION: u32 = 2;
 pub struct StageTimings {
     /// Client sampling (Alg. 1 line 17).
     pub sampling_secs: f64,
-    /// Parallel local training across the sampled clients, including attack
-    /// interception.
+    /// The exchange: parallel local training across the sampled clients,
+    /// including attack interception, plus the per-arrival admission of
+    /// each submission (transit-fault injection, validation, decoder
+    /// stripping, duplicate resolution, and the fold of a streaming
+    /// aggregator), which runs as the transport hands updates over.
     pub local_training_secs: f64,
-    /// Fault injection plus server-side sanitization (validation, decoder
-    /// stripping, duplicate resolution) of the round's submissions.
+    /// Admission work left after the last arrival: sorting the survivor
+    /// roster (and the buffered survivors) by client id.
     pub sanitize_secs: f64,
     /// Server-side decoder synthesis of `D_syn` (FedGuard only).
     pub synthesis_secs: f64,

@@ -1,15 +1,17 @@
 //! The server↔client exchange as a pluggable `Transport`.
 //!
-//! [`Federation::run_round`](crate::Federation::run_round) no longer touches
-//! clients directly: it hands the round's work order (a [`RoundOffer`]) to a
-//! [`Transport`] and gets back the trained submissions (a [`RoundExchange`]).
+//! [`Federation::run_round`](crate::Federation::run_round) never touches
+//! clients directly: it hands the round's work order (a [`RoundOffer`]) and
+//! a sink to a [`Transport`], which passes each trained submission to the
+//! sink and returns what else it observed (a [`RoundExchange`]).
 //! Everything else — sampling, the seeded fault schedule, transit-fault
 //! injection, sanitization, aggregation — stays on the server side of the
 //! trait, identical across deployments. That split is what makes the
 //! in-process path the *oracle*: [`LocalTransport`] and
 //! [`TcpTransport`](crate::net::TcpTransport) receive the same offers and
-//! must return the same updates, so a seeded loopback run is bit-identical
-//! to the single-process run (asserted in `tests/net_equivalence.rs`).
+//! must hand over the same updates in the same order, so a seeded loopback
+//! run is bit-identical to the single-process run (asserted in
+//! `tests/net_equivalence.rs`).
 //!
 //! Two implementations ship:
 //! * [`LocalTransport`] — the classic simulation: clients live in this
@@ -23,8 +25,8 @@
 
 use crate::client::{Client, NoAttack, UpdateInterceptor};
 use crate::compress::{
-    compress_global, compress_update, decompress_blob_into, decompress_update, sparse_update,
-    CompressedUpdate, Compression, SparseUpdate,
+    compress_global, compress_update, decompress_blob_into, decompress_update, CompressedUpdate,
+    Compression,
 };
 use crate::fault::FaultEvent;
 use crate::update::ModelUpdate;
@@ -103,88 +105,38 @@ pub struct RoundOffer<'a> {
     pub active: &'a [usize],
 }
 
-/// What came back from the clients.
+/// What the transport observed besides the submissions themselves.
 ///
-/// `updates` holds one trained (and possibly attack-intercepted) submission
-/// per active client that actually delivered, **sorted by client id** — the
-/// canonical arrival order both transports produce, so downstream fault
-/// injection and sanitization see identical sequences. `faults` carries
-/// transport-observed losses (e.g. a TCP disconnect mid-round → `Dropout`,
-/// a malformed frame → `FrameMalformed`); the local transport never loses a
-/// submission. `sessions` carries the round's session-lifecycle events.
+/// `faults` carries transport-observed losses (e.g. a TCP disconnect
+/// mid-round → `Dropout`, a malformed frame → `FrameMalformed`); the local
+/// transport never loses a submission. `sessions` carries the round's
+/// session-lifecycle events.
 #[derive(Debug, Default)]
 pub struct RoundExchange {
-    pub updates: Vec<ModelUpdate>,
     pub faults: Vec<FaultEvent>,
     pub sessions: Vec<SessionEvent>,
-}
-
-/// The non-update remainder of a streamed exchange: everything a
-/// [`RoundExchange`] carries besides the updates themselves, returned by
-/// [`Transport::exchange_round_streamed`] after the last submission has been
-/// pushed into the sink.
-#[derive(Debug, Default)]
-pub struct ExchangeTail {
-    pub faults: Vec<FaultEvent>,
-    pub sessions: Vec<SessionEvent>,
-}
-
-/// One submission leaving a streamed exchange. Most arrive dense; a top-k
-/// compressed submission on the in-process path stays sparse all the way to
-/// the aggregation fold (the decoded deltas against the round's reference
-/// model), so no full f32 vector is materialized for it. A transport that
-/// reconstructs densely (TCP today) simply never emits `Sparse` — the fold
-/// result is bit-identical either way (see
-/// [`StreamingAggregator::push_sparse`](crate::strategy::StreamingAggregator::push_sparse)).
-#[derive(Clone, Debug, PartialEq)]
-pub enum IncomingUpdate {
-    Dense(ModelUpdate),
-    Sparse(SparseUpdate),
-}
-
-impl IncomingUpdate {
-    /// The submitting client.
-    pub fn client_id(&self) -> usize {
-        match self {
-            IncomingUpdate::Dense(u) => u.client_id,
-            IncomingUpdate::Sparse(s) => s.client_id,
-        }
-    }
 }
 
 /// Server-side transport: delivers the global model to the round's clients
-/// and collects their submissions. Implementations must return updates
-/// sorted by client id and must not reorder, drop, or synthesize
-/// submissions beyond what they report as faults.
+/// and hands their submissions to the round loop one at a time. Each active
+/// client is handed over at most once, in ascending client-id order — the
+/// canonical arrival order every deployment produces, so downstream fault
+/// injection and sanitization see identical sequences. Implementations
+/// must not reorder, drop, or synthesize submissions beyond what they
+/// report as faults.
 pub trait Transport: Send {
     /// Which deployment this is (stamped into telemetry).
     fn kind(&self) -> TransportKind;
 
-    /// Run one round's exchange.
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange;
-
-    /// Streaming variant of [`exchange_round`](Transport::exchange_round):
-    /// hand each submission to `sink` as it becomes available — in ascending
-    /// client-id order for implementations that control arrival order — so
-    /// the server can fold updates into an O(d) accumulator instead of
-    /// holding all m in memory. Same delivery contract as `exchange_round`
-    /// (each active client at most once, losses reported as faults).
-    ///
-    /// The default implementation adapts `exchange_round` by replaying its
-    /// batch through the sink: correct for any transport, but it still
-    /// materializes O(m·d) inside the exchange. [`LocalTransport`] overrides
-    /// it to train-and-sink one client at a time.
-    fn exchange_round_streamed(
+    /// Run one round's exchange, passing each submission to `sink` as soon
+    /// as the transport holds it. What the round loop does with it (fold
+    /// into an O(d) accumulator or buffer it) is not the transport's
+    /// concern.
+    fn exchange_round(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
-    ) -> ExchangeTail {
-        let RoundExchange { updates, faults, sessions } = self.exchange_round(offer);
-        for update in updates {
-            sink(IncomingUpdate::Dense(update));
-        }
-        ExchangeTail { faults, sessions }
-    }
+        sink: &mut dyn FnMut(ModelUpdate),
+    ) -> RoundExchange;
 
     /// The run is over: release clients (a TCP transport sends `Shutdown`
     /// and drains `Leave`s). Returns the final session events.
@@ -202,16 +154,12 @@ impl Transport for Box<dyn Transport> {
         (**self).kind()
     }
 
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
-        (**self).exchange_round(offer)
-    }
-
-    fn exchange_round_streamed(
+    fn exchange_round(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
-    ) -> ExchangeTail {
-        (**self).exchange_round_streamed(offer, sink)
+        sink: &mut dyn FnMut(ModelUpdate),
+    ) -> RoundExchange {
+        (**self).exchange_round(offer, sink)
     }
 
     fn finish(&mut self) -> Vec<SessionEvent> {
@@ -330,7 +278,11 @@ impl Transport for LocalTransport {
         TransportKind::Local
     }
 
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
+    fn exchange_round(
+        &mut self,
+        offer: &RoundOffer<'_>,
+        sink: &mut dyn FnMut(ModelUpdate),
+    ) -> RoundExchange {
         // Parallel local training + attack interception. Each client trains
         // from its own forked RNG stream, so the result is bit-identical at
         // any thread count; the sort restores the canonical order. When a
@@ -359,43 +311,8 @@ impl Transport for LocalTransport {
             })
             .collect();
         updates.sort_by_key(|u| u.client_id);
-        RoundExchange { updates, faults: Vec::new(), sessions: Vec::new() }
-    }
-
-    fn exchange_round_streamed(
-        &mut self,
-        offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
-    ) -> ExchangeTail {
-        // Train-and-sink one client at a time, in ascending id order (the
-        // canonical order the batch path's sort produces), so only a single
-        // update is ever materialized — O(d) residency. The cross-client
-        // fan-out is given up for that; each client's training still runs
-        // its kernels on the worker pool, and every update is bit-identical
-        // to the batch path's (per-client forked RNG streams). A top-k
-        // submission stays sparse through the sink, preserving O(d) — the
-        // decoded (idx, val) deltas go straight to the aggregation fold.
-        let mode = self.compression;
-        let reference = self.wire_reference(offer);
-        let trained_on: &[f32] = reference.as_deref().unwrap_or(offer.global);
-        let mut ids = offer.active.to_vec();
-        ids.sort_unstable();
-        for id in ids {
-            let _span = fg_obs::span::span("client.train");
-            let mut update = self.clients[id].lock().train_round(trained_on, offer.round);
-            self.interceptor.intercept(&mut update, offer.round);
-            match &reference {
-                Some(reference) => {
-                    let cu = Self::wire_roundtrip_update(mode, offer.round, &update, reference);
-                    match sparse_update(&cu) {
-                        Some(s) => sink(IncomingUpdate::Sparse(s)),
-                        None => sink(IncomingUpdate::Dense(decompress_update(&cu, reference))),
-                    }
-                }
-                None => sink(IncomingUpdate::Dense(update)),
-            }
-        }
-        ExchangeTail::default()
+        updates.into_iter().for_each(sink);
+        RoundExchange::default()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -429,6 +346,17 @@ pub trait ClientChannel {
 
     /// Close the session in an orderly fashion.
     fn leave(&mut self) -> Result<(), WireError>;
+}
+
+/// Run one exchange, collecting the handed-over submissions in order.
+#[cfg(test)]
+pub(crate) fn collect_exchange(
+    transport: &mut dyn Transport,
+    offer: &RoundOffer<'_>,
+) -> (Vec<ModelUpdate>, RoundExchange) {
+    let mut updates = Vec::new();
+    let exchange = transport.exchange_round(offer, &mut |u| updates.push(u));
+    (updates, exchange)
 }
 
 #[cfg(test)]
@@ -472,8 +400,8 @@ mod tests {
         let sampled = vec![0, 2, 3, 4];
         let active = vec![4, 0, 3]; // deliberately unsorted; 2 "dropped out"
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &active };
-        let exchange = t.exchange_round(&offer);
-        let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
+        let (updates, exchange) = collect_exchange(&mut t, &offer);
+        let ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
         assert_eq!(ids, vec![0, 3, 4]);
         assert!(exchange.faults.is_empty());
         assert!(exchange.sessions.is_empty());
@@ -485,52 +413,9 @@ mod tests {
         let global = toy_global();
         let sampled = vec![0, 1, 2];
         let offer = RoundOffer { round: 1, global: &global, sampled: &sampled, active: &sampled };
-        let a = LocalTransport::honest(toy_clients(3)).exchange_round(&offer);
-        let b = LocalTransport::honest(toy_clients(3)).exchange_round(&offer);
-        assert_eq!(a.updates, b.updates);
-    }
-
-    #[test]
-    fn streamed_exchange_matches_batch_exchange_bitwise() {
-        let global = toy_global();
-        let sampled = vec![0, 1, 3, 4];
-        let active = vec![4, 0, 3]; // unsorted on purpose
-        let offer = RoundOffer { round: 2, global: &global, sampled: &sampled, active: &active };
-        let batch = LocalTransport::honest(toy_clients(5)).exchange_round(&offer);
-        let mut streamed = Vec::new();
-        let tail = LocalTransport::honest(toy_clients(5))
-            .exchange_round_streamed(&offer, &mut |u| streamed.push(dense(u)));
-        assert_eq!(batch.updates, streamed, "streamed updates diverged from batch");
-        assert!(tail.faults.is_empty() && tail.sessions.is_empty());
-        // The default (adapter) implementation replays the batch through the
-        // sink — same contract for transports without a native override.
-        struct Replay(LocalTransport);
-        impl Transport for Replay {
-            fn kind(&self) -> TransportKind {
-                TransportKind::Local
-            }
-            fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
-                self.0.exchange_round(offer)
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut replayed = Vec::new();
-        let tail = Replay(LocalTransport::honest(toy_clients(5)))
-            .exchange_round_streamed(&offer, &mut |u| replayed.push(dense(u)));
-        assert_eq!(batch.updates, replayed, "default adapter diverged from batch");
-        assert!(tail.faults.is_empty());
-    }
-
-    /// Unwrap a streamed submission that is expected to be dense.
-    fn dense(u: IncomingUpdate) -> ModelUpdate {
-        match u {
-            IncomingUpdate::Dense(u) => u,
-            IncomingUpdate::Sparse(s) => {
-                panic!("unexpected sparse submission from client {}", s.client_id)
-            }
-        }
+        let (a, _) = collect_exchange(&mut LocalTransport::honest(toy_clients(3)), &offer);
+        let (b, _) = collect_exchange(&mut LocalTransport::honest(toy_clients(3)), &offer);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -538,16 +423,16 @@ mod tests {
         let global = toy_global();
         let sampled = vec![0, 1, 2];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let plain = LocalTransport::honest(toy_clients(3)).exchange_round(&offer);
+        let (plain, _) = collect_exchange(&mut LocalTransport::honest(toy_clients(3)), &offer);
         for mode in
             [Compression::Bf16, Compression::Int8 { block: 64 }, Compression::TopK { frac: 0.25 }]
         {
             let mut t = LocalTransport::honest(toy_clients(3)).with_compression(mode);
             assert_eq!(t.compression(), mode);
-            let exchange = t.exchange_round(&offer);
-            let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
+            let (updates, _) = collect_exchange(&mut t, &offer);
+            let ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
             assert_eq!(ids, sampled, "{}: id order", mode.name());
-            for (lossy, dense) in exchange.updates.iter().zip(&plain.updates) {
+            for (lossy, dense) in updates.iter().zip(&plain) {
                 assert_eq!(lossy.params.len(), dense.params.len());
                 assert_eq!(lossy.num_samples, dense.num_samples);
                 assert!(lossy.params.iter().all(|x| x.is_finite()), "{}: finite", mode.name());
@@ -560,58 +445,6 @@ mod tests {
                     .fold(0.0f32, f32::max);
                 assert!(drift < 0.05, "{}: max drift {drift} too large", mode.name());
             }
-        }
-    }
-
-    #[test]
-    fn compressed_streamed_exchange_matches_compressed_batch_bitwise() {
-        let global = toy_global();
-        let sampled = vec![0, 1, 2, 3];
-        let offer = RoundOffer { round: 1, global: &global, sampled: &sampled, active: &sampled };
-        for mode in [Compression::Bf16, Compression::Int8 { block: 4096 }] {
-            let batch = LocalTransport::honest(toy_clients(4))
-                .with_compression(mode)
-                .exchange_round(&offer);
-            let mut streamed = Vec::new();
-            LocalTransport::honest(toy_clients(4))
-                .with_compression(mode)
-                .exchange_round_streamed(&offer, &mut |u| streamed.push(dense(u)));
-            assert_eq!(batch.updates, streamed, "{}: streamed vs batch", mode.name());
-        }
-    }
-
-    #[test]
-    fn topk_streamed_exchange_stays_sparse_and_reconstructs_bitwise() {
-        let mode = Compression::TopK { frac: 0.2 };
-        let global = toy_global();
-        let sampled = vec![0, 1, 2];
-        let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let batch =
-            LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round(&offer);
-        // The streamed path must deliver every top-k submission sparse; its
-        // dense reconstruction (reference + deltas at idx) must match the
-        // batch path's decompressed update bit-for-bit.
-        let mut sparse = Vec::new();
-        LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round_streamed(
-            &offer,
-            &mut |u| match u {
-                IncomingUpdate::Sparse(s) => sparse.push(s),
-                IncomingUpdate::Dense(u) => {
-                    panic!("top-k streamed dense for client {}", u.client_id)
-                }
-            },
-        );
-        assert_eq!(sparse.len(), batch.updates.len());
-        for (s, dense) in sparse.iter().zip(&batch.updates) {
-            assert_eq!(s.client_id, dense.client_id);
-            assert_eq!(s.raw_len, dense.params.len());
-            // Top-k rides a dense downlink, so the reference is the global.
-            let mut rebuilt = global.clone();
-            for (&i, &v) in s.idx.iter().zip(&s.val) {
-                rebuilt[i as usize] = global[i as usize] + v;
-            }
-            let same = rebuilt.iter().zip(&dense.params).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "sparse reconstruction diverged for client {}", s.client_id);
         }
     }
 
@@ -632,9 +465,9 @@ mod tests {
         let global = toy_global();
         let sampled = vec![0, 1];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let exchange = t.exchange_round(&offer);
-        assert!(exchange.updates[1].params.iter().all(|&x| x == 7.0));
-        assert!(exchange.updates[0].params.iter().any(|&x| x != 7.0));
+        let (updates, _) = collect_exchange(&mut t, &offer);
+        assert!(updates[1].params.iter().all(|&x| x == 7.0));
+        assert!(updates[0].params.iter().any(|&x| x != 7.0));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! design and are not counted; the contract covers workspace scratch.)
 //!
 //! `alloc_events` is process-global while the pools are per-thread, so a
-//! sibling test allocating concurrently would move the counter between our
-//! reads and fail the assertion spuriously. [`alloc_delta`] takes a global
-//! lock around the measured region: every measured section runs alone, and
+//! sibling test allocating concurrently — its warm-up included — would move
+//! the counter between our reads and fail the assertion spuriously. Every
+//! test therefore holds [`exclusive`] for its whole body, and
 //! `with_threads(1)` inside it keeps all workspace traffic on the locked
 //! thread.
 
@@ -25,16 +25,20 @@ use fg_tensor::rng::SeededRng;
 use fg_tensor::workspace;
 use fg_tensor::Tensor;
 use rayon::with_threads;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Serializes every region measured against the global `alloc_events`
-/// counter (shared by all tests in this binary).
+/// Serializes the tests of this binary, which all read the global
+/// `alloc_events` counter.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with exclusive ownership of the allocation counter and return
-/// how many workspace allocations it performed.
+/// Exclusive ownership of the allocation counter until the guard drops.
+fn exclusive() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// How many workspace allocations `f` performed. The caller holds
+/// [`exclusive`].
 fn alloc_delta(f: impl FnOnce()) -> u64 {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let before = workspace::alloc_events();
     f();
     workspace::alloc_events() - before
@@ -56,6 +60,7 @@ fn train_step(conv: &mut Conv2d, fc: &mut Linear, x: &Tensor, batch: usize) {
 
 #[test]
 fn conv_and_linear_hot_paths_are_allocation_free_after_warmup() {
+    let _exclusive = exclusive();
     // One thread so every workspace request hits the same thread-local pool;
     // multi-thread runs are covered by the schedule-invariance suite.
     with_threads(1, || {
@@ -84,6 +89,7 @@ fn conv_and_linear_hot_paths_are_allocation_free_after_warmup() {
 
 #[test]
 fn warm_scoring_paths_are_allocation_free() {
+    let _exclusive = exclusive();
     use fg_nn::models::{BatchedClassifier, Classifier, ClassifierSpec};
 
     with_threads(1, || {
@@ -118,6 +124,7 @@ fn warm_scoring_paths_are_allocation_free() {
 
 #[test]
 fn shape_change_repopulates_then_settles() {
+    let _exclusive = exclusive();
     with_threads(1, || {
         let mut rng = SeededRng::new(100);
         let mut conv = Conv2d::new(1, 4, 3, 1, &mut rng);

@@ -62,13 +62,17 @@ grep -q '"physical_cores"' results/bench_scoring.json || exit 1
 grep -q '"bitwise_identical": true' results/bench_scoring.json || exit 1
 stage_done scoring
 
-# Aggregation stage: the O(d) streaming path vs the O(m·d) batch oracle.
-# The streaming-equivalence suite pins every streamable aggregator to its
-# batch oracle bit-for-bit; bench_aggregation then replays the m=64 ×
-# d=262144 round both ways and hard-asserts (a) bitwise digests across
-# thread counts and arrival orders, (b) a ≥4× peak-residency reduction,
-# and (c) zero workspace-pool misses on the warm streaming pass.
+# Aggregation stage: the O(d) FedAvg fold vs the O(m·d) batch oracle. The
+# streaming-equivalence suite pins the fold to ops::fedavg bit-for-bit and
+# fold_equivalence repeats it through the round loop under chaotic fault
+# plans; bench_aggregation then replays the m=64 × d=262144 FedAvg round
+# both ways and hard-asserts (a) bitwise digests across thread counts and
+# arrival orders, (b) a ≥4× peak-residency reduction, and (c) zero
+# workspace-pool misses on the warm fold. Strategies that need the cohort
+# in hand (FedGuard, Krum, median, trimmed mean, GeoMed) are buffered by
+# the round loop and have no streamed form to compare.
 cargo test --release -q -p fg-agg --test streaming_equivalence || exit 1
+cargo test --release -q -p fedguard --test fold_equivalence || exit 1
 cargo build --release -p fg-bench --bin bench_aggregation || exit 1
 $B/bench_aggregation > results/bench_aggregation.json 2> results/bench_aggregation.log || exit 1
 test -s results/bench_aggregation.log || exit 1
@@ -82,7 +86,8 @@ stage_done aggregation
 # Table-II-CNN cohort (d ≈ 1.66M). bench_compression hard-asserts the
 # wire-byte reduction bars (int8 ≥3.5×, bf16 ≥1.9×, top-k(10%) ≥8×), the
 # mode-invariant logical comm ledger vs the fg-obs byte counters, frame
-# round-trips, and a bit-identical dequantized fold across arrival orders,
+# round-trips, and a bit-identical fold of the decompressed cohort
+# (decompress_update, as both transports run it) across arrival orders,
 # thread counts and the batch oracle. Emits the outcome/objective/metrics
 # result.json schema from ROADMAP item 4.
 cargo build --release -p fg-bench --bin bench_compression || exit 1
@@ -116,7 +121,10 @@ stage_done trace
 # the wire's model-parameter bytes match the comm.rs accounting exactly.
 # The compressed variant reruns the cell under the int8 codec: same
 # bit-identity bar (the oracle routes payloads through the same frames),
-# plus the server's wire-payload-undercuts-ledger assertion.
+# plus the server's wire-payload-undercuts-ledger assertion. The FedAvg
+# cell is the one whose server folds each upload into an O(d) accumulator
+# as it is read (FedGuard buffers for its audit), so the deployed bins
+# exercise the per-upload TCP fold against the in-process oracle.
 cargo test --release -q -p fedguard --test net_equivalence || exit 1
 cargo build --release -p fg-bench --bin fed_server --bin fed_client || exit 1
 NET_PORT=7963
@@ -146,6 +154,19 @@ wait
 grep -q '"equivalent": true' results/bench_net_int8.json || exit 1
 grep -q '"wire_matches_comm": true' results/bench_net_int8.json || exit 1
 grep -q '"wire_payload_smaller_than_logical": true' results/bench_net_int8.json || exit 1
+NET_PORT=7967
+$B/fed_server --bind 127.0.0.1:$NET_PORT --preset smoke --strategy fedavg \
+    --attack sign-flipping --seed 42 --rounds 2 --check-oracle \
+    --out results/bench_net_fedavg.json 2> results/bench_net_fedavg.log &
+NET_SERVER=$!
+sleep 1
+for i in $(seq 0 9); do
+    $B/fed_client --connect 127.0.0.1:$NET_PORT --id $i 2>> results/bench_net_fedavg.log &
+done
+wait $NET_SERVER || exit 1
+wait
+grep -q '"equivalent": true' results/bench_net_fedavg.json || exit 1
+grep -q '"wire_matches_comm": true' results/bench_net_fedavg.json || exit 1
 stage_done net
 
 # Ops stage: the operational plane (DESIGN.md §15). A loopback served run

@@ -10,8 +10,8 @@
 use fedguard::data::partition::{dirichlet_partition, partition_datasets};
 use fedguard::data::synth::generate_dataset;
 use fedguard::fl::{
-    AggregationMemory, FaultConfig, FaultKind, FaultPlan, Federation, FederationConfig,
-    LocalTrainConfig, MemoryCollector, ResiliencePolicy, RoundRecord, RoundTelemetry,
+    FaultConfig, FaultKind, FaultPlan, Federation, FederationConfig, LocalTrainConfig,
+    MemoryCollector, ResiliencePolicy, RoundRecord, RoundTelemetry,
 };
 use fedguard::nn::models::ClassifierSpec;
 use fedguard::tensor::rng::SeededRng;
@@ -41,7 +41,6 @@ fn chaos_federation(
         server_lr: 1.0,
         eval_batch: 64,
         seed,
-        agg_memory: AggregationMemory::Batch,
     };
     Federation::builder(config)
         .datasets(datasets)

@@ -9,6 +9,7 @@
 //! separate-process version of this check is the `net` stage of
 //! `run_suite.sh`.
 
+use fedguard::agg::FedAvgStrategy;
 use fedguard::experiment::{
     build_client, run_experiment_full, run_served_experiment, AttackScenario, ExperimentConfig,
     Preset, RunArtifacts, StrategyKind,
@@ -23,6 +24,8 @@ use fg_tensor::rng::SeededRng;
 use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
+
+mod support;
 
 fn net_cfg() -> NetConfig {
     NetConfig {
@@ -241,19 +244,17 @@ fn scheduled_dropouts_stay_bit_identical_over_tcp() {
 }
 
 /// The streaming aggregation path, driven end-to-end over loopback TCP:
-/// with `agg_memory: Streaming` the server folds each upload into an O(d)
-/// accumulator as it leaves the wire instead of materializing the round,
-/// and the run must stay bit-identical to the batch oracle — in-process
-/// *and* over TCP.
+/// FedAvg folds each upload into an O(d) accumulator as it leaves the wire
+/// instead of materializing the round, and the run must stay bit-identical
+/// to the buffered batch oracle — in-process *and* over TCP.
 #[test]
 fn tcp_streaming_aggregation_is_bit_identical_to_batch_oracle() {
     let mut cfg =
         ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 42);
     cfg.fed.rounds = 2;
-    let batch_oracle = run_experiment_full(&cfg);
+    let batch_oracle = support::run_with_strategy(&cfg, support::Buffered(FedAvgStrategy));
 
-    let mut streamed_cfg = cfg.clone();
-    streamed_cfg.fed.agg_memory = fg_fl::AggregationMemory::Streaming;
+    let streamed_cfg = cfg.clone();
     // In-process streaming vs in-process batch.
     let local_streamed = run_experiment_full(&streamed_cfg);
     assert_eq!(batch_oracle.final_global, local_streamed.final_global, "local streaming diverged");
